@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify bench figures json wirebench fuzz chaos chaos-search durability membership livecheck shard ci
+.PHONY: build test verify bench profile figures json wirebench fuzz chaos chaos-search durability membership livecheck shard ci
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,15 @@ verify:
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$'
+
+# CPU and allocation profiles of the read path's invisible-reads check
+# (BenchmarkCausalReadCheck), written to .bench_build/profile/. Inspect with
+# `go tool pprof .bench_build/profile/cpu.pprof`.
+profile:
+	mkdir -p .bench_build/profile
+	$(GO) test -run '^$$' -bench BenchmarkCausalReadCheck -benchmem -count 1 \
+		-cpuprofile .bench_build/profile/cpu.pprof -memprofile .bench_build/profile/mem.pprof \
+		-o .bench_build/profile/repro.test . | tee .bench_build/profile/bench.txt
 
 figures:
 	$(GO) run ./cmd/figures -all

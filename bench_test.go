@@ -240,6 +240,33 @@ func BenchmarkCausalStoreOps(b *testing.B) {
 	})
 }
 
+// BenchmarkCausalReadCheck measures the invisible-reads check a live node
+// runs on every client read: store.PropertyChecker.CheckDo around a read,
+// which digests the replica state before and after. Its cost should not
+// depend on the number of objects held. `make profile` runs it under pprof.
+func BenchmarkCausalReadCheck(b *testing.B) {
+	for _, objects := range []int{1_000, 100_000} {
+		b.Run(fmt.Sprintf("objects=%d", objects), func(b *testing.B) {
+			r := causal.New(spec.MVRTypes()).NewReplica(0, 3)
+			for i := 0; i < objects; i++ {
+				r.Do(model.ObjectID(fmt.Sprintf("k%06d", i)), model.Write("v"))
+			}
+			r.OnSend()
+			c := store.NewPropertyChecker(r)
+			read := func() model.Response { return r.Do("k000007", model.Read()) }
+			c.CheckDo("k000007", model.Read(), read) // hash the preloaded objects
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.CheckDo("k000007", model.Read(), read)
+			}
+			if err := c.Err(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
 // BenchmarkHappensBefore measures happens-before computation over recorded
 // executions.
 func BenchmarkHappensBefore(b *testing.B) {

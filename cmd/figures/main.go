@@ -35,6 +35,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/store"
+	"repro/internal/store/causal"
 )
 
 func main() {
@@ -206,10 +207,10 @@ func statesize(out bench.Output) error {
 	t := bench.NewTable("State size — MVR metadata growth (space lower-bound flavor, §7)",
 		"replicas", "concurrent writers", "siblings held", "state bytes (digest proxy)")
 	for _, n := range []int{2, 4, 8, 16} {
-		st := mvr("causal")
-		replicas := make([]store.Replica, n)
+		st := causal.New(spec.MVRTypes())
+		replicas := make([]*causal.Replica, n)
 		for i := range replicas {
-			replicas[i] = st.NewReplica(model.ReplicaID(i), n)
+			replicas[i] = st.NewReplica(model.ReplicaID(i), n).(*causal.Replica)
 		}
 		// Every replica writes x concurrently; replica 0 receives everything.
 		for i := 1; i < n; i++ {
@@ -219,7 +220,9 @@ func statesize(out bench.Output) error {
 			replicas[0].Receive(payload)
 		}
 		siblings := len(replicas[0].Do("x", model.Read()).Values)
-		t.AddRow(n, n-1, siblings, len(replicas[0].StateDigest()))
+		// The full rendering, not StateDigest, whose size does not grow with
+		// the state.
+		t.AddRow(n, n-1, siblings, len(replicas[0].Render()))
 	}
 	t.Note = "each surviving sibling stores an n-entry dependency clock: state grows with min{concurrency, writers} × n, matching the flavor of the Burckhardt et al. space bounds the full version extends"
 	return out.Emit(t)

@@ -33,7 +33,7 @@ const (
 	tUpdate       = 2  // {origin, seq, lamport, payload}
 	tAck          = 3  // {cumSeq}                      cumulative ack of the dialer's updates
 	tRequest      = 4  // {reqID, obj, kind, arg, delta}
-	tResponse     = 5  // {reqID, ok, count, hasValues, values...}
+	tResponse     = 5  // {reqID, hdr (ok, hasCount, nValues+1), [count], values...}
 	tStats        = 6  // {[codec]}
 	tStatsResp    = 7  // {json}
 	tHistory      = 8  // {[codec]}
@@ -385,40 +385,53 @@ func decodeRequest(r *wire.Reader) (reqID uint64, obj model.ObjectID, op model.O
 	return reqID, obj, op, r.Err()
 }
 
+// Response header bits: one uvarint after the reqID carries OK (bit 0),
+// whether a Count varint follows (bit 1, omitted when Count is 0), and
+// len(Values)+1 from bit 2 up, where 0 means nil Values.
+const (
+	respOK       = 1 << 0
+	respHasCount = 1 << 1
+	respNShift   = 2
+)
+
 func encodeResponse(reqID uint64, resp model.Response) []byte {
 	w := wire.NewWriter()
 	w.Uvarint(tResponse)
 	w.Uvarint(reqID)
-	b := uint64(0)
+	hdr := uint64(0)
 	if resp.OK {
-		b = 1
+		hdr |= respOK
 	}
-	w.Uvarint(b)
-	w.Varint(resp.Count)
-	if resp.Values == nil {
-		w.Uvarint(0)
-	} else {
-		w.Uvarint(1)
-		w.Uvarint(uint64(len(resp.Values)))
-		for _, v := range resp.Values {
-			w.String(string(v))
-		}
+	if resp.Count != 0 {
+		hdr |= respHasCount
+	}
+	if resp.Values != nil {
+		hdr |= uint64(len(resp.Values)+1) << respNShift
+	}
+	w.Uvarint(hdr)
+	if resp.Count != 0 {
+		w.Varint(resp.Count)
+	}
+	for _, v := range resp.Values {
+		w.String(string(v))
 	}
 	return w.Bytes()
 }
 
 func decodeResponse(r *wire.Reader) (reqID uint64, resp model.Response, err error) {
 	reqID = r.Uvarint()
-	resp.OK = r.Uvarint() == 1
-	resp.Count = r.Varint()
-	if r.Uvarint() == 1 {
-		n := r.Uvarint()
-		if err := r.Err(); err != nil {
-			return reqID, resp, err
-		}
+	hdr := r.Uvarint()
+	resp.OK = hdr&respOK != 0
+	if hdr&respHasCount != 0 {
+		resp.Count = r.Varint()
+	}
+	if err := r.Err(); err != nil {
+		return reqID, resp, err
+	}
+	if nv := hdr >> respNShift; nv > 0 {
+		n := nv - 1
 		// Every value costs at least its one-byte length prefix, so a valid
-		// count never exceeds the bytes left. (The previous guard allowed
-		// Remaining+1 — one more value than the buffer can possibly hold.)
+		// count never exceeds the bytes left.
 		if n > uint64(r.Remaining()) {
 			return reqID, resp, fmt.Errorf("cluster: implausible value count %d", n)
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/membership"
@@ -234,28 +235,52 @@ func TestBatchImplausibleCountRejected(t *testing.T) {
 }
 
 // TestResponseValueCountBoundary is the regression for the decodeResponse
-// guard: a declared value count of exactly Remaining+1 slipped past the old
-// check and allocated for a count the buffer cannot hold.
+// guard: a declared value count of exactly Remaining+1 must be rejected
+// before it allocates for values the buffer cannot hold.
 func TestResponseValueCountBoundary(t *testing.T) {
 	w := wire.NewWriter()
-	w.Uvarint(1)        // reqID
-	w.Uvarint(1)        // ok
-	w.Varint(0)         // count
-	w.Uvarint(1)        // hasValues
-	w.Uvarint(3)        // declared values...
-	w.Raw([]byte{0, 0}) // ...but only 2 bytes remain: 3 == Remaining+1
+	w.Uvarint(1)                          // reqID
+	w.Uvarint(respOK | (3+1)<<respNShift) // ok, 3 values declared...
+	w.Raw([]byte{0, 0})                   // ...but only 2 bytes remain: 3 == Remaining+1
 	r := wire.NewReader(w.Bytes())
 	if _, _, err := decodeResponse(r); err == nil {
 		t.Fatal("value count Remaining+1 accepted")
 	}
 
-	// The boundary itself must still work: n one-byte (empty) values.
+	// The boundary itself must still work: n one-byte (empty) values with
+	// n == Remaining.
 	ok := encodeResponse(7, model.Response{OK: true, Values: []model.Value{"", ""}})
 	r = wire.NewReader(ok)
 	r.Uvarint() // type
 	id, resp, err := decodeResponse(r)
 	if err != nil || id != 7 || len(resp.Values) != 2 {
 		t.Fatalf("valid boundary response: id %d resp %+v err %v", id, resp, err)
+	}
+}
+
+// TestResponseRoundTrip checks the packed response header: OK, an omitted
+// zero Count, negative counts, and nil versus empty Values all survive.
+func TestResponseRoundTrip(t *testing.T) {
+	for i, want := range []model.Response{
+		model.OKResponse(),
+		{},
+		{Values: []model.Value{}},
+		{Values: []model.Value{"a", "bc"}},
+		{Count: -5},
+		{OK: true, Count: 1 << 40, Values: []model.Value{""}},
+	} {
+		r := wire.NewReader(encodeResponse(uint64(i), want))
+		if typ := r.Uvarint(); typ != tResponse {
+			t.Fatalf("case %d: type %d", i, typ)
+		}
+		id, got, err := decodeResponse(r)
+		if err != nil || id != uint64(i) || !reflect.DeepEqual(got, want) || r.Remaining() != 0 {
+			t.Fatalf("case %d: got id %d %#v err %v (%d bytes left), want %#v", i, id, got, err, r.Remaining(), want)
+		}
+	}
+	// A write acknowledgement is type, reqID and one header byte.
+	if n := len(encodeResponse(1, model.OKResponse())); n != 3 {
+		t.Fatalf("OK reply is %d bytes, want 3", n)
 	}
 }
 
@@ -397,6 +422,8 @@ func TestGoldenWireVectors(t *testing.T) {
 			})
 		})},
 		{"ack", encodeAck(130)},
+		{"request", encodeRequest(300, "k000042", model.Operation{Kind: model.OpWrite, Arg: "c1.17", Delta: -2})},
+		{"response", encodeResponse(300, model.Response{OK: true, Count: -3, Values: []model.Value{"a", "bc"}})},
 		{"stats_req_binary", encodeStructuredReq(tStats, wire.CodecBinary, wire.CompFlate)},
 		{"event_do", enc(func(w *wire.Writer) {
 			if err := AppendEventBinary(w, sampleEventsBinary()[0]); err != nil {

@@ -22,9 +22,14 @@
 package causal
 
 import (
+	"bytes"
+	"encoding/hex"
 	"fmt"
+	"hash"
+	"hash/fnv"
+	"io"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/model"
 	"repro/internal/spec"
@@ -87,6 +92,7 @@ func (s *Store) NewReplica(id model.ReplicaID, n int) store.Replica {
 		opts:    s.opts,
 		clock:   vclock.New(n),
 		objects: make(map[model.ObjectID]*objState),
+		hasher:  fnv.New128a(),
 	}
 }
 
@@ -114,7 +120,14 @@ type version struct {
 
 // objState holds per-object replica state for whichever type the object has.
 type objState struct {
+	id  model.ObjectID
 	typ spec.ObjectType
+
+	// hash is this object's current term in Replica.sum: the 128-bit
+	// FNV-1a hash of its rendering, as of the last digest. stale marks an
+	// object created or changed since then, queued in Replica.stale.
+	hash  [16]byte
+	stale bool
 
 	versions []version // MVR
 
@@ -139,6 +152,14 @@ type Replica struct {
 	objects map[model.ObjectID]*objState
 	buffer  []update // remote updates awaiting causal readiness
 	outbox  []update // local updates not yet broadcast
+
+	// sum is the XOR of every object's hash: StateDigest's fingerprint of
+	// the object map, brought up to date by rehashing only the stale
+	// objects. object() and apply() — the only writers of object state —
+	// queue what they touch; reads queue nothing.
+	sum    [16]byte
+	stale  []*objState
+	hasher hash.Hash
 
 	// applyLog records the local application order of updates:
 	// observational metadata (not part of the state digest) used by the
@@ -176,13 +197,22 @@ func (r *Replica) LastDot() (model.Dot, bool) {
 func (r *Replica) object(id model.ObjectID) *objState {
 	st, ok := r.objects[id]
 	if !ok {
-		st = &objState{typ: r.types.Of(id)}
+		st = &objState{id: id, typ: r.types.Of(id)}
 		if st.typ == spec.TypeORSet {
 			st.adds = make(map[model.Value]map[model.Dot]bool)
 		}
 		r.objects[id] = st
+		r.markStale(st)
 	}
 	return st
+}
+
+// markStale queues st for rehashing at the next StateDigest.
+func (r *Replica) markStale(st *objState) {
+	if !st.stale {
+		st.stale = true
+		r.stale = append(r.stale, st)
+	}
 }
 
 // Do implements store.Replica: reads evaluate local state without modifying
@@ -259,6 +289,7 @@ func (r *Replica) apply(u update) {
 	r.applyLog = append(r.applyLog, u.Dot)
 	r.clock.Set(u.Dot.Origin, u.Dot.Seq)
 	st := r.object(u.Obj)
+	r.markStale(st)
 	switch u.Kind {
 	case model.OpWrite:
 		switch st.typ {
@@ -312,6 +343,11 @@ func (r *Replica) Receive(payload []byte) {
 		// A corrupt payload is ignored: well-formed executions never produce
 		// one, and dropping it is indistinguishable from a message drop.
 		return
+	}
+	for _, u := range updates {
+		if u.Kind == model.OpRead || !spec.ForType(r.types.Of(u.Obj)).Allows(u.Kind) {
+			return // Do never mints such an update: the payload is corrupt
+		}
 	}
 	for _, u := range updates {
 		if r.clock.Sees(u.Dot) || r.buffered(u.Dot) {
@@ -372,48 +408,127 @@ func (r *Replica) OnSend() {
 	r.outbox = nil
 }
 
-// StateDigest implements store.Replica with a deterministic rendering of the
-// full state σ.
+// StateDigest implements store.Replica with a fingerprint of the full state
+// σ whose cost is independent of the number of objects: the clock and
+// Lamport header, the object count, the XOR of every object's rendering
+// hash, and the buffered and outbox dots. Only objects changed since the
+// previous digest are rehashed. Equal states give equal digests regardless
+// of the order in which their updates were applied, since each object's
+// rendering is canonical and XOR is order-independent. Render is the
+// human-readable reference the digest is checked against.
 func (r *Replica) StateDigest() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "clock=%s lamport=%d\n", r.clock, r.lamport)
+	r.refreshSum()
+	b := r.appendHeader(make([]byte, 0, 128))
+	b = append(b, "objects="...)
+	b = strconv.AppendInt(b, int64(len(r.objects)), 10)
+	b = append(b, " sum="...)
+	b = hex.AppendEncode(b, r.sum[:])
+	b = append(b, '\n')
+	return string(r.appendQueues(b))
+}
+
+// Render returns a deterministic rendering of the full state σ, one line
+// per object in ID order: the reference StateDigest fingerprints.
+func (r *Replica) Render() string {
+	b := bytes.NewBuffer(r.appendHeader(nil))
 	objIDs := make([]string, 0, len(r.objects))
 	for id := range r.objects {
 		objIDs = append(objIDs, string(id))
 	}
 	sort.Strings(objIDs)
 	for _, id := range objIDs {
-		st := r.objects[model.ObjectID(id)]
-		fmt.Fprintf(&b, "obj %s (%s):", id, st.typ)
-		switch st.typ {
-		case spec.TypeMVR:
-			vs := make([]string, 0, len(st.versions))
-			for _, v := range st.versions {
-				vs = append(vs, fmt.Sprintf("%s@%s%s", v.Value, v.Dot, v.Deps))
-			}
-			sort.Strings(vs)
-			fmt.Fprintf(&b, " %v", vs)
-		case spec.TypeRegister:
-			fmt.Fprintf(&b, " %s ts=%d origin=%d set=%v", st.regValue, st.regTS, st.regOrigin, st.regSet)
-		case spec.TypeORSet:
-			vals := make([]string, 0, len(st.adds))
-			for v, dots := range st.adds {
-				ds := make([]model.Dot, 0, len(dots))
-				for d := range dots {
-					ds = append(ds, d)
-				}
-				sortDots(ds)
-				vals = append(vals, fmt.Sprintf("%s:%v", v, ds))
-			}
-			sort.Strings(vals)
-			fmt.Fprintf(&b, " %v", vals)
-		case spec.TypeCounter:
-			fmt.Fprintf(&b, " %d", st.total)
-		}
-		b.WriteByte('\n')
+		r.objects[model.ObjectID(id)].render(b)
 	}
-	fmt.Fprintf(&b, "buffer=%v\noutbox=%v\n", updateDots(r.buffer), updateDots(r.outbox))
+	b.Write(r.appendQueues(nil))
 	return b.String()
+}
+
+// appendHeader appends the "clock=[1 0 3] lamport=5" line that opens both
+// StateDigest and Render.
+func (r *Replica) appendHeader(b []byte) []byte {
+	b = append(b, "clock=["...)
+	for i, x := range r.clock {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendUint(b, x, 10)
+	}
+	b = append(b, "] lamport="...)
+	b = strconv.AppendUint(b, r.lamport, 10)
+	return append(b, '\n')
+}
+
+// appendQueues appends the buffered and outbox dots that close both
+// StateDigest and Render.
+func (r *Replica) appendQueues(b []byte) []byte {
+	b = appendDots(append(b, "buffer="...), r.buffer)
+	b = appendDots(append(b, "\noutbox="...), r.outbox)
+	return append(b, '\n')
+}
+
+// appendDots appends the updates' dots as fmt renders a []model.Dot:
+// "[(r0,1) (r2,4)]".
+func appendDots(b []byte, us []update) []byte {
+	b = append(b, '[')
+	for i, u := range us {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, "(r"...)
+		b = strconv.AppendInt(b, int64(u.Dot.Origin), 10)
+		b = append(b, ',')
+		b = strconv.AppendUint(b, u.Dot.Seq, 10)
+		b = append(b, ')')
+	}
+	return append(b, ']')
+}
+
+// refreshSum rehashes the stale objects, swapping each one's old term in
+// r.sum for its new one.
+func (r *Replica) refreshSum() {
+	for _, st := range r.stale {
+		r.hasher.Reset()
+		st.render(r.hasher)
+		old := st.hash
+		r.hasher.Sum(st.hash[:0]) // in place: st.hash has room
+		for i := range r.sum {
+			r.sum[i] ^= old[i] ^ st.hash[i]
+		}
+		st.stale = false
+	}
+	r.stale = r.stale[:0]
+}
+
+// render writes the object's canonical one-line rendering: its ID, type,
+// and type-specific state with every set sorted.
+func (st *objState) render(w io.Writer) {
+	fmt.Fprintf(w, "obj %s (%s):", st.id, st.typ)
+	switch st.typ {
+	case spec.TypeMVR:
+		vs := make([]string, 0, len(st.versions))
+		for _, v := range st.versions {
+			vs = append(vs, fmt.Sprintf("%s@%s%s", v.Value, v.Dot, v.Deps))
+		}
+		sort.Strings(vs)
+		fmt.Fprintf(w, " %v", vs)
+	case spec.TypeRegister:
+		fmt.Fprintf(w, " %s ts=%d origin=%d set=%v", st.regValue, st.regTS, st.regOrigin, st.regSet)
+	case spec.TypeORSet:
+		vals := make([]string, 0, len(st.adds))
+		for v, dots := range st.adds {
+			ds := make([]model.Dot, 0, len(dots))
+			for d := range dots {
+				ds = append(ds, d)
+			}
+			sortDots(ds)
+			vals = append(vals, fmt.Sprintf("%s:%v", v, ds))
+		}
+		sort.Strings(vals)
+		fmt.Fprintf(w, " %v", vals)
+	case spec.TypeCounter:
+		fmt.Fprintf(w, " %d", st.total)
+	}
+	io.WriteString(w, "\n")
 }
 
 // BufferedUpdates returns the number of remote updates awaiting causal
@@ -427,14 +542,6 @@ func (r *Replica) BufferedUpdates() int { return len(r.buffer) }
 func (r *Replica) ApplyOrder() []model.Dot {
 	out := make([]model.Dot, len(r.applyLog))
 	copy(out, r.applyLog)
-	return out
-}
-
-func updateDots(us []update) []model.Dot {
-	out := make([]model.Dot, len(us))
-	for i, u := range us {
-		out[i] = u.Dot
-	}
 	return out
 }
 

@@ -326,11 +326,11 @@ func TestCorruptPayloadIgnored(t *testing.T) {
 	}
 }
 
-func TestStateDigestMentionsObjects(t *testing.T) {
+func TestRenderMentionsObjects(t *testing.T) {
 	r0, _ := newPair(t)
 	r0.Do("x", model.Write("a"))
-	if d := r0.StateDigest(); !strings.Contains(d, "obj x") {
-		t.Fatalf("digest missing object state:\n%s", d)
+	if d := r0.Render(); !strings.Contains(d, "obj x") {
+		t.Fatalf("rendering missing object state:\n%s", d)
 	}
 }
 

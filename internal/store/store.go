@@ -46,8 +46,12 @@ type Replica interface {
 	Receive(payload []byte)
 
 	// StateDigest returns a deterministic fingerprint of the full replica
-	// state σ, used by the invisible-reads checker (Definition 16) and by
-	// convergence checks (Lemma 3).
+	// state σ, used by the invisible-reads checker (Definition 16), by
+	// convergence checks (Lemma 3), and as the explorer's state key. Equal
+	// states must give equal digests regardless of the order in which
+	// their updates were applied, and different states different digests.
+	// The checker calls it twice around every read, so its cost is on the
+	// read path.
 	StateDigest() string
 }
 
@@ -153,8 +157,11 @@ func (c *PropertyChecker) report(property, detail string) {
 	})
 }
 
-// BeforeDo/AfterDo bracket a do event; for reads they compare state digests
-// (Definition 16).
+// CheckDo runs do, the replica's handling of op on obj, and returns its
+// response. For a read it also enforces Definition 16 (invisible reads):
+// the replica's StateDigest must be the same before and after do, or the
+// read is reported as an "invisible reads" violation. Mutators run
+// unchecked.
 func (c *PropertyChecker) CheckDo(obj model.ObjectID, op model.Operation, do func() model.Response) model.Response {
 	var before string
 	if op.Kind == model.OpRead {
